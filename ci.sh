@@ -16,6 +16,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> release build"
 cargo build --release
 
+echo "==> benchmark smoke (perfbench builds against the engine entry points and prints every metric BENCHMARK.json names)"
+python3 perfbench/run.py --smoke
+
 echo "==> workspace tests (all crates; superset of the tier-1 \`cargo test -q\`)"
 # The golden suite inside this run executes every expt_* binary at smoke
 # scale and asserts the deterministic scheme orderings in their output

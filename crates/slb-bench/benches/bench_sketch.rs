@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks for the heavy-hitter substrate: SpaceSaving
-//! and Misra-Gries update cost on a skewed stream, and the cost of merging
-//! per-source summaries.
+//! update cost on a skewed stream, and the cost of merging per-source
+//! summaries.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use slb_sketch::{merge::merge_space_saving, FrequencyEstimator, MisraGries, SpaceSaving};
+use slb_sketch::{merge::merge_space_saving, FrequencyEstimator, SpaceSaving};
 use slb_workloads::zipf::ZipfGenerator;
 use slb_workloads::KeyStream;
 
@@ -29,20 +29,6 @@ fn sketch_updates(c: &mut Criterion) {
                         ss.observe(black_box(&k));
                     }
                     black_box(ss.len())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("misra_gries", capacity),
-            &capacity,
-            |b, &capacity| {
-                b.iter(|| {
-                    let mut mg = MisraGries::new(capacity);
-                    let mut stream = ZipfGenerator::with_limit(100_000, 1.2, 3, messages);
-                    while let Some(k) = KeyStream::next_key(&mut stream) {
-                        mg.observe(black_box(&k));
-                    }
-                    black_box(mg.len())
                 })
             },
         );

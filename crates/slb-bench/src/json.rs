@@ -7,8 +7,8 @@
 //! `BENCH_*.json` hook the vendored criterion harness already provides for
 //! the benches — one env var, one directory, machine-readable everything.
 //!
-//! The vendored `serde` is a no-op shim (see `vendor/README.md`), so this is
-//! a deliberately tiny hand-rolled JSON writer: a value model, escaping, and
+//! The workspace has no serialization framework, so this is a deliberately
+//! tiny hand-rolled JSON writer: a value model, escaping, and
 //! a [`Table`] builder keyed by column names. Output shape:
 //!
 //! ```json

@@ -72,11 +72,10 @@ pub use wire::{PartialDecodeError, WirePartial};
 
 use std::hash::Hash;
 
-use serde::{Deserialize, Serialize};
 use slb_hash::KeyHash;
 
 /// The grouping schemes evaluated in the paper, by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionerKind {
     /// Key grouping (KG).
     KeyGrouping,

@@ -81,8 +81,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use serde::{Deserialize, Serialize};
-
 use slb_core::{
     build_partitioner, ControllerAction, ControllerConfig, ControllerEvent, ControllerMetrics,
     CountAggregate, ElasticityController, OpenWindowState, PartitionConfig, Partitioner,
@@ -96,7 +94,7 @@ use slb_telemetry::{
 use slb_workloads::{Arrival, KeyId, KeyStream, Scenario};
 
 use crate::fault::{CheckpointStore, ConnectionDrop, FaultPlan};
-use crate::latency::{LatencySummary, LatencyTracker, PhaseMetrics, RecoveryMetrics, StageMetrics};
+use crate::latency::{LatencySummary, PhaseMetrics, RecoveryMetrics, StageMetrics};
 use crate::transport::{
     capacity_in_batches, feedback_channel_capacity, partial_channel_capacity, FeedbackReceiver,
     FeedbackSender, InProc, PartialReceiver, PartialSender, PartialWindow, RecvError,
@@ -112,7 +110,7 @@ use crate::windows::{window_of, WindowId, WindowedRun};
 const REPLAY_SNAPSHOT_RING: usize = 8;
 
 /// Configuration of one single-phase engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Grouping scheme under study.
     pub kind: PartitionerKind,
@@ -383,7 +381,7 @@ fn resolved_solver(solver: SolverMode, controller: Option<&ControllerConfig>) ->
 /// Configuration of a multi-phase scenario run: the [`Scenario`] supplies
 /// the workload, phase lengths, worker counts, and speed multipliers; this
 /// struct adds the engine-side knobs (base service time, transport, shards).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Grouping scheme under study.
     pub kind: PartitionerKind,
@@ -603,7 +601,7 @@ impl ScenarioConfig {
 }
 
 /// Outcome of one engine run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineResult {
     /// Scheme symbol.
     pub scheme: String,
@@ -658,12 +656,9 @@ pub struct EngineResult {
     /// stage. Wall-clock shaped (stall/wait times, high-water marks), so —
     /// unlike [`Self::trace`] — NOT deterministic across runs.
     pub transport: TransportStats,
-    /// The telemetry-layer view of [`Self::latency`]: the merged end-to-end
-    /// latency histogram across every worker's trackers — the exact
-    /// distribution a remote node's `MetricsSnapshot` carries, so quantiles
-    /// derived from it are what a live cluster dashboard would show
-    /// (under-reporting the exact percentiles by < 6.25%;
-    /// `expt_observability` measures this against [`Self::latency`]).
+    /// The distribution behind [`Self::latency`]: the merged end-to-end
+    /// latency histogram across every worker, the same one a remote node's
+    /// `MetricsSnapshot` carries.
     pub latency_histogram: LogHistogram,
 }
 
@@ -677,7 +672,7 @@ impl EngineResult {
 /// The run's transport counters, one [`HopStats`] per stage: what each
 /// stage saw on its own send/receive seams (source→worker sends, worker
 /// receive + worker→aggregator sends, aggregator receives).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransportStats {
     /// Merged over all source instances (send side of source→worker).
     pub source: HopStats,
@@ -2011,7 +2006,7 @@ fn replay_to_worker<S, Tx>(
 }
 
 /// What one worker reports after draining its input channel: counts,
-/// state footprint, per-phase latency trackers, and per-phase activity
+/// state footprint, per-phase latency histograms, and per-phase activity
 /// spans as `(first, last)` microseconds since the run epoch (an
 /// `Instant`-free representation, so reports can cross process boundaries).
 #[derive(Debug, Clone, Default)]
@@ -2020,8 +2015,8 @@ pub struct WorkerStageReport {
     pub processed: u64,
     /// Tuples processed per phase.
     pub phase_counts: Vec<u64>,
-    /// Per-phase latency samples.
-    pub phase_latencies: Vec<LatencyTracker>,
+    /// Per-phase emit→processed latency, microseconds.
+    pub phase_latencies: Vec<LogHistogram>,
     /// Distinct keys this worker ever held state for.
     pub state_keys: u64,
     /// Windows this worker finalized (must equal the run's window count).
@@ -2387,9 +2382,7 @@ where
     );
     let mut processed = 0u64;
     let mut phase_counts = vec![0u64; n_phases];
-    let mut phase_latencies: Vec<LatencyTracker> = (0..n_phases)
-        .map(|_| LatencyTracker::with_capacity(1_024))
-        .collect();
+    let mut phase_latencies = vec![LogHistogram::new(); n_phases];
     // First/last batch-completion instants per phase, for the
     // per-phase throughput span. Timing diagnostics survive a simulated
     // crash (they describe the wall clock, not the recovered state).
@@ -2535,7 +2528,7 @@ where
                     }
                     let done = Instant::now();
                     let batch_latency_us = done.duration_since(batch.emitted_at).as_micros() as u64;
-                    phase_latencies[phase].record_many_us(batch_latency_us, n);
+                    phase_latencies[phase].record_n(batch_latency_us, n);
                     phase_counts[phase] += n;
                     processed += n;
                     let done_us = done.saturating_duration_since(epoch).as_micros() as u64;
@@ -2693,8 +2686,8 @@ where
 pub struct AggregatorStageReport<P> {
     /// Final merged aggregate per window this shard owned.
     pub finalized: BTreeMap<WindowId, P>,
-    /// Close→merge latency samples.
-    pub latencies: LatencyTracker,
+    /// Close→merge latency, microseconds.
+    pub latencies: LogHistogram,
     /// Partial-window messages merged (each counted at most once per
     /// distinct `(worker, window)`).
     pub merged: u64,
@@ -2810,7 +2803,7 @@ where
     let local_hop = (live.is_none() && telemetry).then(HopTelemetry::default);
     let hop = live.as_deref().or(local_hop.as_ref());
     let mut trace = TraceBuf::new(trace_stage::AGGREGATOR, shard as u32, telemetry);
-    let mut latencies = LatencyTracker::with_capacity(256);
+    let mut latencies = LogHistogram::new();
     let mut merged = 0u64;
     let mut duplicates_dropped = 0u64;
     let mut transport_errors = 0u64;
@@ -2903,7 +2896,7 @@ where
             }
             slot.1[pw.worker] = true;
             slot.2 += 1;
-            latencies.record_us(pw.closed_at.elapsed().as_micros() as u64);
+            latencies.record(pw.closed_at.elapsed().as_micros() as u64);
             merged += 1;
             aggregate.merge(&mut slot.0, pw.partial);
             let complete = if excluded_any {
@@ -3014,7 +3007,8 @@ where
     let mut worker_state_keys = Vec::with_capacity(plan.spawned_workers);
     let mut worker_windows_closed = Vec::with_capacity(plan.spawned_workers);
     let mut phase_matrix = PhaseLoadMatrix::new(n_phases, plan.spawned_workers);
-    let mut phase_latencies: Vec<Vec<LatencyTracker>> = (0..n_phases).map(|_| Vec::new()).collect();
+    let mut phase_latencies: Vec<Vec<LogHistogram>> = vec![Vec::new(); n_phases];
+    let mut worker_latencies = Vec::with_capacity(plan.spawned_workers);
     let mut phase_spans: Vec<Option<(u64, u64)>> = vec![None; n_phases];
     let mut worker_recovery = RecoveryMetrics::default();
     for (w, report) in worker_reports.into_iter().enumerate() {
@@ -3025,10 +3019,13 @@ where
         worker_recovery = worker_recovery.merged(report.recovery);
         trace.extend(report.trace);
         transport.worker.merge(&report.transport);
-        for (p, tracker) in report.phase_latencies.into_iter().enumerate() {
+        let mut worker_latency = LogHistogram::new();
+        for (p, hist) in report.phase_latencies.into_iter().enumerate() {
             phase_matrix.add(p, w, report.phase_counts[p]);
-            phase_latencies[p].push(tracker);
+            worker_latency.merge(&hist);
+            phase_latencies[p].push(hist);
         }
+        worker_latencies.push(worker_latency);
         for (p, span) in report.phase_spans.into_iter().enumerate() {
             if let Some((first, last)) = span {
                 let merged_span = phase_spans[p].get_or_insert((first, last));
@@ -3070,11 +3067,11 @@ where
     );
 
     // Grouped by worker across phases, so the "max avg" statistic keeps the
-    // paper's per-worker semantics without copying every sample.
-    let latency = LatencyTracker::summarize_by_worker(&phase_latencies);
+    // paper's per-worker semantics.
+    let latency = LatencySummary::from_histograms(&worker_latencies);
     let mut latency_histogram = LogHistogram::new();
-    for tracker in phase_latencies.iter().flatten() {
-        latency_histogram.merge(tracker.histogram());
+    for hist in &worker_latencies {
+        latency_histogram.merge(hist);
     }
     let throughput_eps = if elapsed_secs > 0.0 {
         processed as f64 / elapsed_secs
@@ -3108,7 +3105,7 @@ where
                 stage: StageMetrics::new(
                     phase_matrix.phase_total(p),
                     span_secs,
-                    LatencyTracker::summarize(&phase_latencies[p]),
+                    LatencySummary::from_histograms(&phase_latencies[p]),
                 ),
             }
         })
@@ -3136,7 +3133,7 @@ where
         aggregator_stage: StageMetrics::with_recovery(
             partials_merged,
             elapsed_secs,
-            LatencyTracker::summarize(&aggregator_latencies),
+            LatencySummary::from_histograms(&aggregator_latencies),
             RecoveryMetrics {
                 duplicates_dropped: partials_deduped,
                 transport_errors: partials_transport_errors,

@@ -6,12 +6,9 @@
 //! more independent hash functions (the *Greedy-d* process uses `d` of them).
 //! Production stream processors (Storm, Flink) rely on library hash functions
 //! such as Murmur3 or Guava's hashing; this crate provides from-scratch,
-//! dependency-free implementations of the same class of functions:
+//! dependency-free implementations of the two the partitioners use:
 //!
 //! * [`xxhash::XxHash64`] — fast 64-bit hash, default choice for routing.
-//! * [`murmur::murmur3_32`] / [`murmur::murmur3_x64_128`] — the hash Storm's
-//!   `fieldsGrouping` historically used.
-//! * [`fnv::Fnv1a64`] — simple byte-at-a-time hash, useful for tiny keys.
 //! * [`splitmix::SplitMix64`] — integer mixer used to derive independent
 //!   seeds and to hash already-numeric keys.
 //!
@@ -27,13 +24,10 @@
 //! reproducible run-to-run.
 
 pub mod family;
-pub mod fnv;
-pub mod murmur;
 pub mod splitmix;
 pub mod xxhash;
 
 pub use family::{HashFamily, KeyHash, StreamHasher, DIGEST_SEED};
-pub use fnv::Fnv1a64;
 pub use splitmix::SplitMix64;
 pub use xxhash::XxHash64;
 

@@ -83,7 +83,7 @@ use slb_engine::{
     assemble_result, exact_scenario_windowed_counts, exact_windowed_counts, run_aggregator_stage,
     run_aggregator_stage_supervised, run_source_stage, run_source_stage_supervised,
     run_worker_stage, run_worker_stage_durable, AggregatorStageReport, EngineResult,
-    LatencyTracker, RecoveryMetrics, SourceControlEvent, SourceStageReport, WindowId, WindowedRun,
+    RecoveryMetrics, SourceControlEvent, SourceStageReport, WindowId, WindowedRun,
     WorkerStageReport,
 };
 use slb_telemetry::{log, snapshot_stage, HopTelemetry, LogHistogram, MetricsSnapshot};
@@ -187,14 +187,6 @@ fn dial(port: u16) -> Result<TcpStream, String> {
         .map_err(|e| io_err("dialing data port failed", e))
 }
 
-fn tracker_from_rle(runs: &[(u64, u64)]) -> LatencyTracker {
-    let mut tracker = LatencyTracker::new();
-    for &(value, count) in runs {
-        tracker.record_many_us(value, count);
-    }
-    tracker
-}
-
 /// Reads the `SLB_METRICS_INTERVAL_MS` override for the periodic metrics
 /// ticker, failing fast on a malformed value (same contract as
 /// `SLB_HEARTBEAT_TIMEOUT_MS`). Unset or `0` disables periodic snapshots;
@@ -295,8 +287,8 @@ fn worker_final_snapshot(index: usize, report: &WorkerStageReport, seq: u64) -> 
     };
     snap.set_transport(&report.transport);
     let mut latency = LogHistogram::new();
-    for tracker in &report.phase_latencies {
-        latency.merge(tracker.histogram());
+    for hist in &report.phase_latencies {
+        latency.merge(hist);
     }
     snap.set_latency(&latency);
     snap
@@ -320,7 +312,7 @@ fn aggregator_final_snapshot(
         ..MetricsSnapshot::default()
     };
     snap.set_transport(&report.transport);
-    snap.set_latency(report.latencies.histogram());
+    snap.set_latency(&report.latencies);
     snap
 }
 
@@ -668,7 +660,7 @@ pub fn run_node_with(
                 &ControlFrame::AggregatorReport(AggregatorReportWire {
                     aggregator: index as u32,
                     merged: report.merged,
-                    latency: report.latencies.value_runs(),
+                    latency: report.latencies,
                     finalized: report.finalized.into_iter().collect(),
                     duplicates_dropped: report.duplicates_dropped,
                     transport_errors: report.transport_errors,
@@ -916,11 +908,7 @@ fn worker_report_to_wire(index: usize, report: &WorkerStageReport) -> WorkerRepo
         windows_closed: report.windows_closed,
         phase_counts: report.phase_counts.clone(),
         phase_spans: report.phase_spans.clone(),
-        phase_latencies: report
-            .phase_latencies
-            .iter()
-            .map(|t| t.value_runs())
-            .collect(),
+        phase_latencies: report.phase_latencies.clone(),
         restores: report.recovery.restores,
         replayed_items: report.recovery.replayed_items,
         duplicates_dropped: report.recovery.duplicates_dropped,
@@ -936,11 +924,7 @@ fn worker_report_from_wire(report: WorkerReportWire) -> WorkerStageReport {
     WorkerStageReport {
         processed: report.processed,
         phase_counts: report.phase_counts,
-        phase_latencies: report
-            .phase_latencies
-            .iter()
-            .map(|runs| tracker_from_rle(runs))
-            .collect(),
+        phase_latencies: report.phase_latencies,
         state_keys: report.state_keys,
         windows_closed: report.windows_closed,
         phase_spans: report.phase_spans,
@@ -962,7 +946,7 @@ fn aggregator_report_from_wire(
 ) -> AggregatorStageReport<CountPartial> {
     AggregatorStageReport {
         finalized: report.finalized.into_iter().collect(),
-        latencies: tracker_from_rle(&report.latency),
+        latencies: report.latency,
         merged: report.merged,
         duplicates_dropped: report.duplicates_dropped,
         transport_errors: report.transport_errors,
@@ -1904,17 +1888,6 @@ mod tests {
         assert!(epoch.elapsed() < Duration::from_secs(1));
         let earlier = epoch_from_unix_micros(now_unix.saturating_sub(5_000_000));
         assert!(earlier <= epoch);
-    }
-
-    #[test]
-    fn rle_tracker_round_trip() {
-        let mut tracker = LatencyTracker::new();
-        tracker.record_many_us(7, 300);
-        tracker.record_us(12);
-        tracker.record_many_us(7, 2);
-        let runs = crate::wire::rle_encode(tracker.samples());
-        assert_eq!(runs, vec![(7, 300), (12, 1), (7, 2)]);
-        assert_eq!(tracker_from_rle(&runs).samples(), tracker.samples());
     }
 
     /// One serial test for the env knob (parallel tests racing on

@@ -38,8 +38,8 @@ use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
 
 /// Hard ceiling on one frame's payload (tag + body), defending the decoder
 /// against allocating on a corrupt length prefix. Generous: the largest
-/// legitimate frames are worker reports carrying run-length-encoded latency
-/// histograms, well under a mebibyte.
+/// legitimate frames are worker reports carrying per-phase latency histograms
+/// and traces, well under a mebibyte.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Frame tags. Data-plane tags stay below 16; control-plane tags start at 16.
@@ -187,9 +187,8 @@ pub enum FeedbackFrame {
 }
 
 /// A worker's end-of-run report, `Instant`-free so it can cross a socket.
-/// Latency trackers travel as run-length-encoded `(value_us, count)` pairs —
-/// the batched engine records one value per batch for the whole batch, so
-/// the RLE is tiny compared to the raw per-tuple samples.
+/// Latency travels as histograms: exact count, sum, min and max plus the
+/// sparse nonzero buckets.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkerReportWire {
     /// Worker index within the spawned universe.
@@ -204,8 +203,8 @@ pub struct WorkerReportWire {
     pub phase_counts: Vec<u64>,
     /// Per-phase `(first, last)` batch-completion stamps, µs since epoch.
     pub phase_spans: Vec<Option<(u64, u64)>>,
-    /// Per-phase latency samples, run-length encoded as `(value_us, count)`.
-    pub phase_latencies: Vec<Vec<(u64, u64)>>,
+    /// Per-phase emit→processed latency, microseconds.
+    pub phase_latencies: Vec<LogHistogram>,
     /// Checkpoint restorations after simulated crashes.
     pub restores: u64,
     /// Tuples reprocessed from replayed messages.
@@ -233,8 +232,8 @@ pub struct AggregatorReportWire {
     pub aggregator: u32,
     /// Partial-window messages merged.
     pub merged: u64,
-    /// Close→merge latency samples, run-length encoded.
-    pub latency: Vec<(u64, u64)>,
+    /// Close→merge latency, microseconds.
+    pub latency: LogHistogram,
     /// Final merged per-key counts per window this shard owned.
     pub finalized: Vec<(u64, std::collections::HashMap<u64, u64>)>,
     /// Partials discarded as duplicates (replayed windows after a respawn,
@@ -598,26 +597,6 @@ fn read_u64_list(input: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     Ok(values)
 }
 
-fn write_rle(out: &mut Vec<u8>, runs: &[(u64, u64)]) {
-    write_u32(out, runs.len() as u32);
-    for &(value, count) in runs {
-        write_u64(out, value);
-        write_u64(out, count);
-    }
-}
-
-fn read_rle(input: &mut &[u8]) -> Result<Vec<(u64, u64)>, WireError> {
-    let count = read_u32(input)?;
-    let count = checked_count(input, count, 16)?;
-    let mut runs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let value = read_u64(input)?;
-        let n = read_u64(input)?;
-        runs.push((value, n));
-    }
-    Ok(runs)
-}
-
 /// `(bucket_index, count)` pair lists — sparse histograms on the wire.
 fn write_bucket_list(out: &mut Vec<u8>, buckets: &[(u32, u64)]) {
     write_u32(out, buckets.len() as u32);
@@ -811,8 +790,8 @@ pub fn encode_control_frame(frame: &ControlFrame, out: &mut Vec<u8>) {
                 }
             }
             write_u32(out, report.phase_latencies.len() as u32);
-            for runs in &report.phase_latencies {
-                write_rle(out, runs);
+            for hist in &report.phase_latencies {
+                write_histogram(out, hist);
             }
             write_u64(out, report.restores);
             write_u64(out, report.replayed_items);
@@ -828,7 +807,7 @@ pub fn encode_control_frame(frame: &ControlFrame, out: &mut Vec<u8>) {
             let at = begin_frame(out, tag::AGGREGATOR_REPORT);
             write_u32(out, report.aggregator);
             write_u64(out, report.merged);
-            write_rle(out, &report.latency);
+            write_histogram(out, &report.latency);
             write_u32(out, report.finalized.len() as u32);
             for (window, counts) in &report.finalized {
                 write_u64(out, *window);
@@ -989,10 +968,11 @@ pub fn decode_control_payload(payload: &[u8]) -> Result<ControlFrame, WireError>
                 });
             }
             let phases = read_u32(&mut input)?;
-            let phases = checked_count(input, phases, 4)?;
+            // A histogram is at least five u64 scalars and a u32 bucket count.
+            let phases = checked_count(input, phases, 44)?;
             let mut phase_latencies = Vec::with_capacity(phases);
             for _ in 0..phases {
-                phase_latencies.push(read_rle(&mut input)?);
+                phase_latencies.push(read_histogram(&mut input)?);
             }
             let restores = read_u64(&mut input)?;
             let replayed_items = read_u64(&mut input)?;
@@ -1023,7 +1003,7 @@ pub fn decode_control_payload(payload: &[u8]) -> Result<ControlFrame, WireError>
         tag::AGGREGATOR_REPORT => {
             let aggregator = read_u32(&mut input)?;
             let merged = read_u64(&mut input)?;
-            let latency = read_rle(&mut input)?;
+            let latency = read_histogram(&mut input)?;
             let windows = read_u32(&mut input)?;
             let windows = checked_count(input, windows, 12)?;
             let mut finalized = Vec::with_capacity(windows);
@@ -1173,20 +1153,6 @@ pub fn read_frame<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> Result<bool
 /// Writes pre-encoded frame bytes (as produced by the `encode_*` functions).
 pub fn write_frame_bytes<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
     writer.write_all(bytes)
-}
-
-/// Run-length encodes a latency tracker's samples as `(value_us, count)`
-/// pairs. The batched engine records one value per drained batch, so
-/// adjacent samples repeat and the RLE is compact.
-pub fn rle_encode(samples: &[u64]) -> Vec<(u64, u64)> {
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for &value in samples {
-        match runs.last_mut() {
-            Some((last, count)) if *last == value => *count += 1,
-            _ => runs.push((value, 1)),
-        }
-    }
-    runs
 }
 
 #[cfg(test)]
@@ -1410,7 +1376,15 @@ mod tests {
                 windows_closed: 4,
                 phase_counts: vec![300, 200],
                 phase_spans: vec![Some((10, 90)), None],
-                phase_latencies: vec![vec![(5, 200), (9, 100)], vec![]],
+                phase_latencies: vec![
+                    {
+                        let mut hist = LogHistogram::new();
+                        hist.record_n(5, 200);
+                        hist.record_n(9, 100);
+                        hist
+                    },
+                    LogHistogram::new(),
+                ],
                 restores: 2,
                 replayed_items: 120,
                 duplicates_dropped: 3,
@@ -1423,7 +1397,11 @@ mod tests {
             ControlFrame::AggregatorReport(AggregatorReportWire {
                 aggregator: 0,
                 merged: 12,
-                latency: vec![(2, 12)],
+                latency: {
+                    let mut hist = LogHistogram::new();
+                    hist.record_n(2, 12);
+                    hist
+                },
                 finalized: vec![(0, counts)],
                 duplicates_dropped: 2,
                 transport_errors: 1,
@@ -1446,11 +1424,5 @@ mod tests {
             assert_eq!(back, frame);
             assert_eq!(consumed, buf.len());
         }
-    }
-
-    #[test]
-    fn rle_compresses_batched_samples() {
-        assert_eq!(rle_encode(&[]), vec![]);
-        assert_eq!(rle_encode(&[7, 7, 7, 9, 7]), vec![(7, 3), (9, 1), (7, 1)]);
     }
 }

@@ -9,7 +9,9 @@
 //! 2. **Totality on bad input** — every strict prefix of a valid encoding
 //!    decodes to an *error*, flipped tags decode to an error, and arbitrary
 //!    byte soup never panics a decoder. A remote peer's bytes are
-//!    untrusted; decoding must fail loudly but gracefully.
+//!    untrusted; decoding must fail loudly but gracefully. Latency
+//!    histograms whose parts disagree (duplicated bucket indices that
+//!    overflow, `min > max`) decode and summarize without a panic.
 //!
 //! The offline proptest shim has no `prop_map`, so frames are constructed
 //! in the test bodies from primitive inputs; coverage across frame variants
@@ -23,13 +25,12 @@ use slb_core::{
     ControllerAction, ControllerConfig, ControllerEvent, OpenWindowState, PartitionerKind,
     SolverMode, WorkerCheckpoint,
 };
-use slb_engine::{EngineConfig, ScenarioConfig};
+use slb_engine::{EngineConfig, LatencySummary, ScenarioConfig};
 use slb_net::cluster::{decode_run_spec, encode_run_spec, RunSpec};
 use slb_net::wire::{
     decode_control_frame, decode_feedback_frame, decode_partial_frame, decode_tuple_frame,
     encode_control_frame, encode_feedback_frame, encode_partial_frame, encode_tuple_frame,
-    rle_encode, AggregatorReportWire, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame,
-    WorkerReportWire,
+    AggregatorReportWire, ControlFrame, FeedbackFrame, PartialFrame, TupleFrame, WorkerReportWire,
 };
 use slb_sketch::{FrequencyEstimator, SpaceSaving};
 use slb_telemetry::{HopStats, LogHistogram, MetricsSnapshot, TraceEvent};
@@ -97,6 +98,16 @@ fn histogram_from(samples: &[u64]) -> LogHistogram {
     hist
 }
 
+/// Derives a worker latency histogram past 65,536 samples from raw
+/// material: one batch-sized run per raw value, as the engine records them.
+fn long_run_histogram(raw: &[u64]) -> LogHistogram {
+    let mut hist = LogHistogram::new();
+    for &v in raw {
+        hist.record_n(v >> 40, 5_000 + (v & 0xFFFF));
+    }
+    hist
+}
+
 /// Derives per-hop transport stats, histogram included, from raw material.
 fn hop_stats_from(raw: &[u64], samples: &[u64]) -> HopStats {
     let at = |i: usize| raw.get(i).copied().unwrap_or(0);
@@ -142,7 +153,6 @@ fn metrics_from(raw: &[u64], samples: &[u64]) -> MetricsSnapshot {
 /// every variant round-trips under the same random inputs.
 fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> Vec<ControlFrame> {
     let at = |i: usize| raw.get(i).copied().unwrap_or(0);
-    let runs = rle_encode(samples);
     vec![
         ControlFrame::Hello {
             role: at(0) as u8,
@@ -187,7 +197,11 @@ fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> 
                 .enumerate()
                 .map(|(i, &v)| (i % 3 != 0).then_some((v, v.saturating_add(i as u64))))
                 .collect(),
-            phase_latencies: vec![runs.clone(), Vec::new(), rle_encode(raw)],
+            phase_latencies: vec![
+                histogram_from(samples),
+                LogHistogram::new(),
+                long_run_histogram(raw),
+            ],
             restores: at(14),
             replayed_items: at(15),
             duplicates_dropped: at(16),
@@ -200,7 +214,7 @@ fn control_frames(raw: &[u64], ports: &[u16], samples: &[u64], keys: &[u64]) -> 
         ControlFrame::AggregatorReport(AggregatorReportWire {
             aggregator: at(10) as u32,
             merged: at(11),
-            latency: runs,
+            latency: histogram_from(samples),
             finalized: vec![(at(12), counts_from(keys)), (at(13), HashMap::new())],
             duplicates_dropped: at(20),
             transport_errors: at(21),
@@ -450,8 +464,32 @@ proptest! {
             let mut buf = Vec::new();
             encode_control_frame(&frame, &mut buf);
             let (back, consumed) = decode_control_frame(&buf).expect("own encoding decodes");
-            prop_assert_eq!(back, frame);
             prop_assert_eq!(consumed, buf.len());
+            let latencies = match (&back, &frame) {
+                (ControlFrame::WorkerReport(got), ControlFrame::WorkerReport(sent)) => {
+                    prop_assert!(sent.phase_latencies[2].count() > 65_536);
+                    Some((&got.phase_latencies[..], &sent.phase_latencies[..]))
+                }
+                (ControlFrame::AggregatorReport(got), ControlFrame::AggregatorReport(sent)) => {
+                    Some((std::slice::from_ref(&got.latency), std::slice::from_ref(&sent.latency)))
+                }
+                _ => None,
+            };
+            if let Some((got, sent)) = latencies {
+                prop_assert_eq!(got.len(), sent.len());
+                for (g, s) in got.iter().zip(sent) {
+                    prop_assert_eq!(g.count(), s.count());
+                    prop_assert_eq!(g.sum(), s.sum());
+                    prop_assert_eq!(g.min(), s.min());
+                    prop_assert_eq!(g.max(), s.max());
+                    prop_assert_eq!(g.nonzero_buckets(), s.nonzero_buckets());
+                }
+                prop_assert_eq!(
+                    LatencySummary::from_histograms(got),
+                    LatencySummary::from_histograms(sent)
+                );
+            }
+            prop_assert_eq!(back, frame);
         }
     }
 
@@ -604,20 +642,46 @@ proptest! {
         prop_assert_eq!(first, a);
         prop_assert_eq!(second, b);
     }
+}
 
-    #[test]
-    fn rle_round_trips_sample_sequences(samples in proptest::collection::vec(0u64..50, 0..2_000)) {
-        let runs = rle_encode(&samples);
-        let mut back = Vec::new();
-        for (value, count) in &runs {
-            for _ in 0..*count {
-                back.push(*value);
-            }
-        }
-        prop_assert_eq!(back, samples);
-        // Adjacent runs never share a value (canonical form).
-        for pair in runs.windows(2) {
-            prop_assert!(pair[0].0 != pair[1].0);
-        }
-    }
+/// A worker report whose latency histogram disagrees with itself on the
+/// wire: bucket 7 appears twice with counts that overflow `u64`, and
+/// `min > max` (a racy live snapshot's shape). It must decode, not be
+/// rejected, and summarize without a panic.
+#[test]
+fn inconsistent_latency_parts_decode_and_summarize() {
+    use slb_core::wire::{write_u32, write_u64};
+
+    let crafted = LogHistogram::from_parts(&[(7, u64::MAX), (8, 5)], 3, 21, u64::MAX, 0);
+    let frame = ControlFrame::WorkerReport(WorkerReportWire {
+        phase_counts: vec![3],
+        phase_spans: vec![None],
+        phase_latencies: vec![crafted],
+        ..WorkerReportWire::default()
+    });
+    let mut buf = Vec::new();
+    encode_control_frame(&frame, &mut buf);
+    // Rewrite the `(8, 5)` pair's index to 7, duplicating bucket 7.
+    let mut needle = Vec::new();
+    write_u32(&mut needle, 8);
+    write_u64(&mut needle, 5);
+    let at = buf
+        .windows(needle.len())
+        .position(|w| w == needle.as_slice())
+        .expect("the bucket pair is on the wire");
+    let mut index = Vec::new();
+    write_u32(&mut index, 7);
+    buf[at..at + 4].copy_from_slice(&index);
+
+    let (back, consumed) = decode_control_frame(&buf).expect("inconsistent parts still decode");
+    assert_eq!(consumed, buf.len());
+    let ControlFrame::WorkerReport(report) = back else {
+        panic!("decoded a different frame kind");
+    };
+    let hist = &report.phase_latencies[0];
+    assert_eq!(hist.nonzero_buckets(), vec![(7, u64::MAX)]);
+    let summary = LatencySummary::from_histograms(&report.phase_latencies);
+    assert_eq!(summary.samples, 3);
+    assert_eq!(summary.max_us, 0);
+    assert!(summary.p50_us <= summary.p99_us);
 }

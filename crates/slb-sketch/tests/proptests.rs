@@ -4,8 +4,6 @@
 //! rather than hand-picked ones:
 //! * SpaceSaving: estimates are upper bounds, errors bounded by m/k, and
 //!   every φ-heavy key is monitored for k ≥ 1/φ.
-//! * Misra-Gries: estimates are lower bounds with undercount ≤ m/(k+1).
-//! * Count-Min: estimates never underestimate.
 //! * Merge: merged estimates dominate the true counts of the combined stream.
 
 use proptest::prelude::*;
@@ -13,7 +11,7 @@ use std::collections::HashMap;
 
 use slb_sketch::{
     merge::{merge_space_saving, merged_space_saving},
-    CountMinSketch, ExactCounter, FrequencyEstimator, MisraGries, SpaceSaving,
+    ExactCounter, FrequencyEstimator, SpaceSaving,
 };
 
 /// A skew-friendly stream strategy: keys drawn from a small universe with a
@@ -66,35 +64,6 @@ proptest! {
     }
 
     #[test]
-    fn misra_gries_guarantees(stream in stream_strategy(), capacity in 1usize..200) {
-        let truth = exact(&stream);
-        let mut mg = MisraGries::new(capacity);
-        for k in &stream {
-            mg.observe(k);
-        }
-        let m = stream.len() as u64;
-        let bound = m / (capacity as u64 + 1);
-        prop_assert!(mg.len() <= capacity);
-        for (k, &t) in &truth {
-            let est = mg.estimate(k);
-            prop_assert!(est <= t, "MG overestimates");
-            prop_assert!(t - est <= bound, "MG undercount above bound");
-        }
-    }
-
-    #[test]
-    fn count_min_never_underestimates(stream in stream_strategy(), width in 8usize..256, depth in 1usize..6) {
-        let truth = exact(&stream);
-        let mut cms: CountMinSketch<u64> = CountMinSketch::new(width, depth, 42);
-        for k in &stream {
-            cms.observe(k);
-        }
-        for (k, &t) in &truth {
-            prop_assert!(cms.estimate(k) >= t);
-        }
-    }
-
-    #[test]
     fn exact_counter_matches_hashmap(stream in stream_strategy()) {
         let truth = exact(&stream);
         let mut ec = ExactCounter::new();
@@ -130,23 +99,6 @@ proptest! {
         for c in &merged.counters {
             let t = truth.get(&c.key).copied().unwrap_or(0);
             prop_assert!(c.count >= t, "merged estimate below combined truth");
-        }
-    }
-
-    /// SpaceSaving and Misra-Gries bracket the true count from above and
-    /// below respectively, so SS estimate >= MG estimate for monitored keys.
-    #[test]
-    fn space_saving_dominates_misra_gries(stream in stream_strategy(), capacity in 2usize..100) {
-        let mut ss = SpaceSaving::new(capacity);
-        let mut mg = MisraGries::new(capacity);
-        for k in &stream {
-            ss.observe(k);
-            mg.observe(k);
-        }
-        for (k, mg_est) in mg.counters() {
-            if let Some(c) = ss.get(k) {
-                prop_assert!(c.count >= mg_est, "SS {} < MG {} for key {}", c.count, mg_est, k);
-            }
         }
     }
 

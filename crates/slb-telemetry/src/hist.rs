@@ -61,7 +61,7 @@ pub fn bucket_index(value: u64) -> usize {
 /// The smallest value that maps to bucket `index` — the quantile
 /// representative. `bucket_index(bucket_floor(i)) == i` for every valid
 /// index, which is what makes re-recording a histogram's floors land in
-/// identical buckets (the wire round-trip relies on this idempotence).
+/// identical buckets.
 #[inline]
 pub fn bucket_floor(index: usize) -> u64 {
     if index < SUBS as usize {
@@ -112,14 +112,18 @@ impl LogHistogram {
 
     /// Rebuilds a histogram from its wire parts: sparse `(bucket, count)`
     /// pairs plus the exact scalars. Pairs with out-of-range indices or
-    /// zero counts are ignored; `count`/`sum`/`min`/`max` are trusted as
-    /// the exact scalars the peer tracked.
+    /// zero counts are ignored, and a repeated index adds up, saturating;
+    /// `count`/`sum`/`min`/`max` are trusted as the exact scalars the peer
+    /// tracked. Total on any input: parts that disagree with each other
+    /// (a live [`AtomicHistogram::snapshot`] is not a consistent cut) still
+    /// build a histogram whose every method is panic-free.
     pub fn from_parts(buckets: &[(u32, u64)], count: u64, sum: u128, min: u64, max: u64) -> Self {
         let mut hist = Self::new();
         for &(index, n) in buckets {
             if (index as usize) < NUM_BUCKETS && n > 0 {
                 hist.ensure_counts();
-                hist.counts[index as usize] += n;
+                let slot = &mut hist.counts[index as usize];
+                *slot = slot.saturating_add(n);
             }
         }
         hist.count = count;
@@ -163,7 +167,8 @@ impl LogHistogram {
 
     /// Element-wise merge: afterwards `self` summarizes the union of both
     /// histograms' recordings. Associative and commutative; the empty
-    /// histogram is the identity.
+    /// histogram is the identity. Sums saturate, so merging decoded parts
+    /// near `u64::MAX` cannot overflow.
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {
             return;
@@ -171,7 +176,7 @@ impl LogHistogram {
         self.ensure_counts();
         if !other.counts.is_empty() {
             for (into, &from) in self.counts.iter_mut().zip(&other.counts) {
-                *into += from;
+                *into = into.saturating_add(from);
             }
         }
         if self.count == 0 {
@@ -181,8 +186,8 @@ impl LogHistogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// Values recorded.
@@ -231,10 +236,12 @@ impl LogHistogram {
         }
     }
 
-    /// Nearest-rank quantile, matching `LatencySummary`'s convention
-    /// (`rank = round((count − 1) · p)`, 0-based): the floor of the bucket
-    /// holding that rank, clamped into the exact `[min, max]`. Monotone in
-    /// `p`, and under-reports by < 2⁻⁴ relative error (module docs).
+    /// Nearest-rank quantile (`rank = round((count − 1) · p)`, 0-based):
+    /// the floor of the bucket holding that rank, raised to the exact
+    /// `min` and then capped at the exact `max`. Monotone in `p`, and
+    /// under-reports by < 2⁻⁴ relative error (module docs). Total even on
+    /// inconsistent parts (`min > max`, bucket counts that overflow or fall
+    /// short of `count`).
     pub fn quantile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -245,9 +252,9 @@ impl LogHistogram {
             if n == 0 {
                 continue;
             }
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen > rank {
-                return bucket_floor(index).clamp(self.min, self.max);
+                return bucket_floor(index).max(self.min).min(self.max);
             }
         }
         self.max

@@ -5,8 +5,8 @@
 //!
 //! * [`hist`] — fixed-bucket log₂-linear histograms ([`LogHistogram`],
 //!   [`AtomicHistogram`]) with a proven associative/commutative merge and
-//!   a ≤ 6.25 % quantile error bound. These replace raw-sample retention
-//!   as the storage behind the engine's latency summaries.
+//!   a ≤ 6.25 % quantile error bound. They are the only latency record
+//!   the engine keeps, from worker to report.
 //! * [`metrics`] — relaxed atomic [`Counter`]s/[`Gauge`]s, the per-hop
 //!   transport telemetry a stage updates once per batch
 //!   ([`HopTelemetry`]/[`HopStats`]), and the [`MetricsSnapshot`] a node

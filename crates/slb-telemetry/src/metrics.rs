@@ -300,8 +300,8 @@ impl MetricsSnapshot {
         self.set_latency(&latency);
     }
 
-    /// Serializes to one JSON object (the JSONL line format; the vendored
-    /// serde is a derive-only shim, so this is written by hand).
+    /// Serializes to one JSON object (the JSONL line format, written by
+    /// hand: the workspace has no serialization framework).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(512);
         out.push('{');

@@ -11,6 +11,12 @@
 //! 4. **Error bound** — every quantile under-reports the exact
 //!    nearest-rank value by less than 2⁻⁴ relative error, and `count`,
 //!    `sum`, `min`, `max` are exact.
+//! 5. **Totality on decoded parts** — `from_parts` builds a histogram
+//!    whose quantiles, mean and merges never panic, even when the parts
+//!    disagree: repeated bucket indices whose counts overflow, bucket
+//!    totals that miss `count`, or `min > max` (what a racy live snapshot
+//!    can produce). Such parts are accepted, not rejected, because
+//!    periodic snapshots are legitimately inconsistent cuts.
 //!
 //! ci.sh re-runs this suite at PROPTEST_CASES=256.
 
@@ -24,6 +30,44 @@ fn hist_of(values: &[u64]) -> LogHistogram {
         hist.record(v);
     }
     hist
+}
+
+/// Everything a report summary asks of a decoded histogram; must not panic.
+fn exercise(hist: &LogHistogram) {
+    let mut last = 0u64;
+    for p in [0.0, 0.5, 0.95, 0.99, 1.0] {
+        let q = hist.quantile(p);
+        assert!(q >= last, "quantile regressed at p={p}: {q} < {last}");
+        last = q;
+    }
+    let _ = hist.mean();
+    let mut doubled = hist.clone();
+    doubled.merge(hist);
+    let _ = doubled.quantile(0.5);
+    assert!(doubled.count() >= hist.count());
+}
+
+#[test]
+fn duplicated_bucket_counts_saturate_instead_of_overflowing() {
+    let hist = LogHistogram::from_parts(&[(7, u64::MAX), (7, 2), (900, 5)], 3, 21, 7, 7);
+    assert_eq!(hist.nonzero_buckets(), vec![(7, u64::MAX), (900, 5)]);
+    assert_eq!(hist.quantile(0.5), 7);
+    exercise(&hist);
+    let everywhere =
+        LogHistogram::from_parts(&[(3, u64::MAX), (4, u64::MAX)], u64::MAX, u128::MAX, 3, 4);
+    assert_eq!(everywhere.quantile(0.0), 3);
+    // The top rank lies past the saturated running total: report the max.
+    assert_eq!(everywhere.quantile(1.0), 4);
+    exercise(&everywhere);
+}
+
+#[test]
+fn inverted_min_max_summarizes_without_panicking() {
+    // A live snapshot can load `count` before the first `fetch_min` /
+    // `fetch_max` lands: min still u64::MAX, max still 0.
+    let hist = LogHistogram::from_parts(&[(20, 4)], 4, 100, u64::MAX, 0);
+    assert_eq!(hist.quantile(0.5), 0, "capped at the recorded max");
+    exercise(&hist);
 }
 
 proptest! {
@@ -114,7 +158,7 @@ proptest! {
     #[test]
     fn bucket_floor_is_a_fixed_point(index in 0usize..NUM_BUCKETS) {
         // Re-recording a histogram's representative values must land in
-        // identical buckets — the wire round-trip depends on it.
+        // identical buckets.
         prop_assert_eq!(bucket_index(bucket_floor(index)), index);
     }
 
@@ -126,6 +170,23 @@ proptest! {
         if index + 1 < NUM_BUCKETS {
             prop_assert!(value < bucket_floor(index + 1));
         }
+    }
+
+    #[test]
+    fn from_parts_is_total_on_arbitrary_parts(
+        indices in proptest::collection::vec(0u32..1_000, 0..20),
+        counts in proptest::collection::vec(any::<u64>(), 0..20),
+        count in any::<u64>(),
+        sum_lo in any::<u64>(),
+        sum_hi in any::<u64>(),
+        min in any::<u64>(),
+        max in any::<u64>(),
+    ) {
+        let mut buckets: Vec<(u32, u64)> = indices.iter().copied().zip(counts.iter().copied()).collect();
+        // Repeat every pair so duplicated indices are always exercised.
+        buckets.extend(buckets.clone());
+        let sum = (u128::from(sum_hi) << 64) | u128::from(sum_lo);
+        exercise(&LogHistogram::from_parts(&buckets, count, sum, min, max));
     }
 
     #[test]

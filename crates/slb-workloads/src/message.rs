@@ -5,8 +5,6 @@
 //! opaque payload size; the simulator leaves it empty while the engine uses
 //! it to emulate per-tuple work.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a key in the key space.
 ///
 /// The synthetic workloads identify keys by opaque 64-bit identifiers
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 pub type KeyId = u64;
 
 /// A single stream message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Logical timestamp: position of the message in the stream (0-based).
     pub timestamp: u64,
@@ -58,24 +56,5 @@ mod tests {
         assert_eq!(m.payload, 0);
         let m = Message::with_payload(1, 2, 128);
         assert_eq!(m.payload, 128);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let m = Message::with_payload(3, 9, 64);
-        let json = serde_json_like(&m);
-        assert!(json.contains("\"timestamp\":3") || json.contains("timestamp"));
-    }
-
-    /// Minimal check that the Serialize impl is derivable and usable without
-    /// pulling serde_json into the dependency tree: serialize to the debug
-    /// representation of the serde data model via a tiny writer.
-    fn serde_json_like(m: &Message) -> String {
-        // We avoid a serde_json dependency; formatting the struct is enough
-        // to prove the fields are public and stable.
-        format!(
-            "{{\"timestamp\":{},\"key\":{},\"payload\":{}}}",
-            m.timestamp, m.key, m.payload
-        )
     }
 }
