@@ -61,6 +61,7 @@ PROPTEST_CASES=256 cargo test -q -p slb-core --test batch_equivalence --test agg
 PROPTEST_CASES=256 cargo test -q -p slb-sketch --test proptests
 PROPTEST_CASES=256 cargo test -q -p slb-workloads --test scenario_props
 PROPTEST_CASES=256 cargo test -q -p slb-engine --test scenario_props --test ring_props
+PROPTEST_CASES=256 cargo test -q -p slb-engine --lib state_keys
 PROPTEST_CASES=256 cargo test -q -p slb-telemetry --test histogram_props
 PROPTEST_CASES=256 cargo test -q -p slb-net --test wire_props
 

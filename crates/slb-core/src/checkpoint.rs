@@ -62,42 +62,22 @@ impl WorkerCheckpoint {
     /// Panics if `state_keys` or `open` are not sorted strictly ascending —
     /// the canonical form the worker stage produces.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        assert!(
-            self.state_keys.windows(2).all(|w| w[0] < w[1]),
-            "checkpoint state keys must be sorted and distinct"
-        );
-        assert!(
-            self.open.windows(2).all(|w| w[0].window < w[1].window),
-            "checkpoint open windows must be sorted and distinct"
-        );
-        write_u64(out, self.worker);
-        write_u64(out, self.windows_closed);
-        write_u64(out, self.processed);
-        write_u32(out, self.phase_counts.len() as u32);
-        for &c in &self.phase_counts {
-            write_u64(out, c);
+        CheckpointRef {
+            worker: self.worker,
+            windows_closed: self.windows_closed,
+            processed: self.processed,
+            phase_counts: &self.phase_counts,
+            next_seq: &self.next_seq,
+            state_keys: &self.state_keys,
+            open: self.open.iter().map(|w| {
+                let write_blob = w
+                    .partial
+                    .as_deref()
+                    .map(|blob| move |out: &mut Vec<u8>| out.extend_from_slice(blob));
+                (w.window, w.closes_seen, write_blob)
+            }),
         }
-        write_u32(out, self.next_seq.len() as u32);
-        for &s in &self.next_seq {
-            write_u64(out, s);
-        }
-        write_u32(out, self.state_keys.len() as u32);
-        for &k in &self.state_keys {
-            write_u64(out, k);
-        }
-        write_u32(out, self.open.len() as u32);
-        for w in &self.open {
-            write_u64(out, w.window);
-            write_u64(out, w.closes_seen);
-            match &w.partial {
-                None => out.push(0),
-                Some(blob) => {
-                    out.push(1);
-                    write_u32(out, blob.len() as u32);
-                    out.extend_from_slice(blob);
-                }
-            }
-        }
+        .encode(out);
     }
 
     /// Decodes one checkpoint from the front of `input`, advancing it past
@@ -155,6 +135,82 @@ impl WorkerCheckpoint {
             state_keys,
             open,
         })
+    }
+}
+
+/// A checkpoint over borrowed state: the one encoder behind
+/// [`WorkerCheckpoint::encode`], which a worker also calls directly at every
+/// window close so its live counters, cursors, key set and open partials are
+/// written in place instead of being copied into a [`WorkerCheckpoint`]
+/// first. Both produce the same bytes for the same state.
+pub struct CheckpointRef<'a, I> {
+    /// Index of the worker that took the snapshot.
+    pub worker: u64,
+    /// Number of windows this worker has finalized.
+    pub windows_closed: u64,
+    /// Total tuples processed so far.
+    pub processed: u64,
+    /// Tuples processed per scenario phase.
+    pub phase_counts: &'a [u64],
+    /// Per-source cursor of the next expected sequence number.
+    pub next_seq: &'a [u64],
+    /// The distinct keys observed so far, strictly ascending.
+    pub state_keys: &'a [u64],
+    /// Still-open windows, strictly ascending by id, as
+    /// `(window, closes_seen, partial)`: `partial` appends the window's
+    /// `WirePartial` encoding to the buffer it is given, or is `None` when
+    /// the window has seen close markers but no tuples.
+    pub open: I,
+}
+
+impl<I, F> CheckpointRef<'_, I>
+where
+    I: ExactSizeIterator<Item = (u64, u64, Option<F>)>,
+    F: FnOnce(&mut Vec<u8>),
+{
+    /// Appends the checkpoint's self-delimiting encoding to `out`; the
+    /// format [`WorkerCheckpoint::decode`] reads.
+    ///
+    /// # Panics
+    /// Panics if `state_keys` or `open` are not sorted strictly ascending.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        assert!(
+            self.state_keys.windows(2).all(|w| w[0] < w[1]),
+            "checkpoint state keys must be sorted and distinct"
+        );
+        write_u64(out, self.worker);
+        write_u64(out, self.windows_closed);
+        write_u64(out, self.processed);
+        for list in [self.phase_counts, self.next_seq, self.state_keys] {
+            write_u32(out, list.len() as u32);
+            for &v in list {
+                write_u64(out, v);
+            }
+        }
+        write_u32(out, self.open.len() as u32);
+        let mut last_window = None;
+        for (window, closes_seen, partial) in self.open {
+            assert!(
+                last_window < Some(window),
+                "checkpoint open windows must be sorted and distinct"
+            );
+            last_window = Some(window);
+            write_u64(out, window);
+            write_u64(out, closes_seen);
+            match partial {
+                None => out.push(0),
+                Some(write_partial) => {
+                    // Length-prefixed blob: reserve the prefix, write the
+                    // partial in place, then patch in its length.
+                    out.push(1);
+                    let at = out.len();
+                    write_u32(out, 0);
+                    write_partial(out);
+                    let len = (out.len() - at - 4) as u32;
+                    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+                }
+            }
+        }
     }
 }
 

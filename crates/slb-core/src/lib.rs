@@ -49,7 +49,7 @@ pub mod wire;
 pub use aggregate::{
     shard_of, CountAggregate, SumAggregate, TopKAggregate, WindowAggregate, SHARD_SEED,
 };
-pub use checkpoint::{OpenWindowState, WorkerCheckpoint};
+pub use checkpoint::{CheckpointRef, OpenWindowState, WorkerCheckpoint};
 pub use config::{HeadThreshold, PartitionConfig, SolverMode};
 pub use controller::{
     decode_decision, encode_decision, ControllerAction, ControllerConfig, ControllerEvent,

@@ -82,8 +82,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use slb_core::{
-    build_partitioner, ControllerAction, ControllerConfig, ControllerEvent, ControllerMetrics,
-    CountAggregate, ElasticityController, OpenWindowState, PartitionConfig, Partitioner,
+    build_partitioner, CheckpointRef, ControllerAction, ControllerConfig, ControllerEvent,
+    ControllerMetrics, CountAggregate, ElasticityController, PartitionConfig, Partitioner,
     PartitionerKind, PerWindowLoads, PhaseLoadMatrix, SolverMode, WindowAggregate, WirePartial,
     WorkerCheckpoint,
 };
@@ -944,7 +944,10 @@ fn flush_pending<Tx: TupleSender>(
 /// boundary: the positioned key stream, the routing state, and the stream
 /// and sequence cursors at the boundary. Pending per-worker buffers are
 /// always empty at a boundary (the window was just flushed), so they need
-/// no snapshotting.
+/// no snapshotting. The stream snapshot is a cursor (RNG state and
+/// counters) over tables the live stream shares: cloning a
+/// [`ZipfGenerator`](slb_workloads::ZipfGenerator) copies no per-key data,
+/// so a snapshot costs the same at 1M keys as at 10k.
 struct SourceSnapshot<S> {
     phase_idx: usize,
     stream: S,
@@ -2080,24 +2083,25 @@ where
     )
 }
 
-/// The worker's distinct-key set (the memory-footprint metric), kept in
-/// checkpoint order incrementally: per-tuple membership rides the hash
-/// set, and a *new* key — rare, bounded by the key-space size — is also
-/// placed into a sorted vector at its ordered position. The checkpoint
-/// encoding then borrows the vector as-is instead of collecting and
-/// re-sorting the whole set at every window close, which dominated the
-/// checkpoint path's cost at zero service time.
+/// The worker's distinct-key set (the memory-footprint metric), kept
+/// ready for the checkpoint's ascending key list. Per-tuple membership
+/// rides the hash set, and a new key is appended to `fresh` in O(1) — new
+/// keys are not rare (a 1M-key stream gives each of 8 PKG workers tens of
+/// thousands), so an ordered insert per key would be quadratic. The
+/// checkpoint encode calls [`Self::sorted`], which sorts only the keys that
+/// arrived since the last checkpoint and merges them into `sorted` in one
+/// linear pass.
 struct StateKeys {
     set: std::collections::HashSet<KeyId>,
+    /// Ascending; every key seen up to the last [`Self::sorted`] call.
     sorted: Vec<KeyId>,
+    /// Keys first seen since then, in arrival order.
+    fresh: Vec<KeyId>,
 }
 
 impl StateKeys {
     fn new() -> Self {
-        Self {
-            set: std::collections::HashSet::new(),
-            sorted: Vec::new(),
-        }
+        Self::restore(&[])
     }
 
     /// Rebuilds the set from a checkpoint's (strictly ascending) key list.
@@ -2105,76 +2109,83 @@ impl StateKeys {
         Self {
             set: keys.iter().copied().collect(),
             sorted: keys.to_vec(),
+            fresh: Vec::new(),
         }
     }
 
     fn insert(&mut self, key: KeyId) {
         if self.set.insert(key) {
-            let at = self.sorted.partition_point(|&k| k < key);
-            self.sorted.insert(at, key);
+            self.fresh.push(key);
         }
     }
 
     fn len(&self) -> usize {
-        self.sorted.len()
+        self.set.len()
     }
 
-    fn sorted(&self) -> &[KeyId] {
+    /// Every key, ascending. Merges the fresh keys in place, back to front,
+    /// so the pass allocates nothing beyond the vector's growth.
+    fn sorted(&mut self) -> &[KeyId] {
+        self.fresh.sort_unstable();
+        let mut old = self.sorted.len();
+        let mut new = self.fresh.len();
+        self.sorted.resize(old + new, 0);
+        // Keys are distinct, so the merge never sees a tie.
+        while new > 0 {
+            let slot = old + new - 1;
+            if old > 0 && self.sorted[old - 1] > self.fresh[new - 1] {
+                old -= 1;
+                self.sorted[slot] = self.sorted[old];
+            } else {
+                new -= 1;
+                self.sorted[slot] = self.fresh[new];
+            }
+        }
+        self.fresh.clear();
         &self.sorted
     }
 }
 
-/// Builds the consistent snapshot a worker saves at a window finalization:
+/// Encodes the consistent snapshot a worker saves at a window finalization:
 /// counters, per-source sequence cursors, the (already sorted) state-key
-/// set, and every still-open window's close count and encoded partial —
-/// written into `out`, which the caller reuses across closes so the
-/// steady-state encode allocates nothing for the checkpoint bytes. The
-/// snapshot is a pure function of the per-source message prefixes recorded
-/// in `next_seq`, which is what makes restore + bounded replay land the
-/// worker in exactly the state it lost.
+/// set, and every still-open window's close count and partial — written
+/// straight from the live state into `out`, which the caller reuses across
+/// closes, through the same [`CheckpointRef`] encoder that
+/// [`WorkerCheckpoint::encode`] uses. The snapshot is a pure function of the
+/// per-source message prefixes recorded in `next_seq`, which is what makes
+/// restore + bounded replay land the worker in exactly the state it lost.
 #[allow(clippy::too_many_arguments)]
-fn encode_checkpoint_into<A>(
-    aggregate: &A,
+fn encode_checkpoint_into<P: WirePartial>(
     worker: usize,
     windows_closed: u64,
     processed: u64,
     phase_counts: &[u64],
     next_seq: &[u64],
     state_keys: &[KeyId],
-    open: &HashMap<WindowId, A::Partial>,
+    open: &HashMap<WindowId, P>,
     closes: &HashMap<WindowId, usize>,
     out: &mut Vec<u8>,
-) where
-    A: WindowAggregate<KeyId>,
-    A::Partial: WirePartial,
-{
-    let _ = aggregate;
+) {
     let mut windows: Vec<WindowId> = open.keys().chain(closes.keys()).copied().collect();
     windows.sort_unstable();
     windows.dedup();
-    let open_states: Vec<OpenWindowState> = windows
-        .into_iter()
-        .map(|window| OpenWindowState {
-            window,
-            closes_seen: closes.get(&window).copied().unwrap_or(0) as u64,
-            partial: open.get(&window).map(|partial| {
-                let mut blob = Vec::new();
-                partial.encode_partial(&mut blob);
-                blob
-            }),
-        })
-        .collect();
-    let checkpoint = WorkerCheckpoint {
+    out.clear();
+    CheckpointRef {
         worker: worker as u64,
         windows_closed,
         processed,
-        phase_counts: phase_counts.to_vec(),
-        next_seq: next_seq.to_vec(),
-        state_keys: state_keys.to_vec(),
-        open: open_states,
-    };
-    out.clear();
-    checkpoint.encode(out);
+        phase_counts,
+        next_seq,
+        state_keys,
+        open: windows.iter().map(|window| {
+            let closes_seen = closes.get(window).copied().unwrap_or(0) as u64;
+            let write_partial = open
+                .get(window)
+                .map(|partial| move |out: &mut Vec<u8>| partial.encode_partial(out));
+            (*window, closes_seen, write_partial)
+        }),
+    }
+    .encode(out);
 }
 
 /// [`run_worker_stage`] plus the recovery protocol. Three mechanisms stack
@@ -2623,7 +2634,6 @@ where
                     // re-finalizes this window.
                     if plan.checkpointing {
                         encode_checkpoint_into(
-                            aggregate,
                             worker_idx,
                             windows_closed,
                             processed,
@@ -4139,6 +4149,99 @@ mod tests {
             if *window >= 1 {
                 assert_eq!(total, &first_merged[window], "window {window}");
             }
+        }
+    }
+
+    #[test]
+    fn checkpoint_encode_from_borrowed_state_matches_the_owned_checkpoint() {
+        let open: HashMap<WindowId, HashMap<KeyId, u64>> = HashMap::from([
+            (3, HashMap::from([(5, 2), (9, 1), (40, 7)])),
+            (5, HashMap::from([(1, 1)])),
+        ]);
+        // Window 4 has seen close markers but no tuples: no partial.
+        let closes: HashMap<WindowId, usize> = HashMap::from([(3, 1), (4, 2)]);
+        let (phase_counts, next_seq, state_keys) = (vec![10, 0, 4], vec![7, 9], vec![1, 5, 9, 40]);
+        let mut borrowed = vec![0xAA; 3];
+        encode_checkpoint_into(
+            2,
+            6,
+            14,
+            &phase_counts,
+            &next_seq,
+            &state_keys,
+            &open,
+            &closes,
+            &mut borrowed,
+        );
+        let blob = |window: WindowId| {
+            let mut out = Vec::new();
+            open[&window].encode_partial(&mut out);
+            Some(out)
+        };
+        let owned = WorkerCheckpoint {
+            worker: 2,
+            windows_closed: 6,
+            processed: 14,
+            phase_counts,
+            next_seq,
+            state_keys,
+            open: vec![
+                slb_core::OpenWindowState {
+                    window: 3,
+                    closes_seen: 1,
+                    partial: blob(3),
+                },
+                slb_core::OpenWindowState {
+                    window: 4,
+                    closes_seen: 2,
+                    partial: None,
+                },
+                slb_core::OpenWindowState {
+                    window: 5,
+                    closes_seen: 0,
+                    partial: blob(5),
+                },
+            ],
+        };
+        let mut expected = Vec::new();
+        owned.encode(&mut expected);
+        assert_eq!(borrowed, expected, "the reused buffer is cleared first");
+        assert_eq!(
+            WorkerCheckpoint::decode(&mut borrowed.as_slice()),
+            Ok(owned)
+        );
+    }
+
+    proptest::proptest! {
+        // 64 cases locally; ci.sh raises this via PROPTEST_CASES.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases_env(64))]
+
+        #[test]
+        fn state_keys_sorted_and_len_match_a_btreeset_reference(
+            ops in proptest::collection::vec(0u64..100, 0..600),
+            keys in proptest::collection::vec(0u64..400, 600..601),
+        ) {
+            // Ops 0..85 insert (a narrow key range, so repeats are common),
+            // 85..95 read `sorted()`, 95..100 restore from the checkpoint
+            // list as a crash would.
+            let mut state = StateKeys::new();
+            let mut reference = std::collections::BTreeSet::new();
+            for (&op, &key) in ops.iter().zip(&keys) {
+                match op {
+                    0..=84 => {
+                        state.insert(key);
+                        reference.insert(key);
+                    }
+                    85..=94 => {
+                        let expected: Vec<KeyId> = reference.iter().copied().collect();
+                        proptest::prop_assert_eq!(state.sorted(), expected.as_slice());
+                    }
+                    _ => state = StateKeys::restore(state.sorted()),
+                }
+                proptest::prop_assert_eq!(state.len(), reference.len());
+            }
+            let expected: Vec<KeyId> = reference.into_iter().collect();
+            proptest::prop_assert_eq!(state.sorted(), expected.as_slice());
         }
     }
 }

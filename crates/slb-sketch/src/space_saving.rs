@@ -362,9 +362,12 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         self.attach_node(node, target);
     }
 
-    /// True if `bucket` is currently live (not on the free list).
+    /// True if `bucket` is currently live (not on the free list). O(1):
+    /// [`Self::detach_node`] frees a bucket exactly when its child list
+    /// empties, and a bucket leaves the free list only to receive a node,
+    /// so a bucket is live iff it has a head.
     fn buckets_contains(&self, bucket: usize) -> bool {
-        bucket != NIL && !self.free_buckets.contains(&bucket)
+        bucket != NIL && self.buckets[bucket].head != NIL
     }
 
     /// Evicts one node from the minimum bucket and returns (node index,

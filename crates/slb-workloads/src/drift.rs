@@ -16,7 +16,7 @@ use crate::KeyStream;
 /// Wraps a base stream and periodically re-maps key identities.
 #[derive(Debug, Clone)]
 pub struct DriftingGenerator<S> {
-    inner: S,
+    pub(crate) inner: S,
     epoch: u64,
     produced: u64,
     drift_seed: u64,

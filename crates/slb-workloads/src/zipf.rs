@@ -14,6 +14,8 @@
 //! * [`fit_exponent_to_p1`] — fits `z` so that the most frequent key has a
 //!   target relative frequency, used to build the WP/TW/CT-like stand-ins.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -173,14 +175,25 @@ pub fn fit_exponent_to_p1(keys: usize, target_p1: f64) -> Result<f64, String> {
 /// rank information. [`ZipfGenerator::rank_of`] / [`ZipfGenerator::key_of`]
 /// convert between the two views (experiments need the rank view to split
 /// head from tail when reporting, the router only ever sees identifiers).
+///
+/// The distribution and its alias table are immutable after construction
+/// and shared behind one `Arc`, so a clone is a cursor (RNG plus counters)
+/// over the same tables: the engine clones every source stream at each
+/// window boundary for replay, and a deep copy there would cost O(keys).
 #[derive(Debug, Clone)]
 pub struct ZipfGenerator {
-    distribution: ZipfDistribution,
-    table: AliasTable,
+    tables: Arc<ZipfTables>,
     rng: StdRng,
     scramble_seed: u64,
     produced: u64,
     limit: u64,
+}
+
+/// The immutable part of a [`ZipfGenerator`]: what it samples from.
+#[derive(Debug)]
+struct ZipfTables {
+    distribution: ZipfDistribution,
+    alias: AliasTable,
 }
 
 /// Salt folded into the seed to derive the identity-scramble key.
@@ -190,10 +203,12 @@ impl ZipfGenerator {
     /// Creates an unbounded generator (use [`Self::with_limit`] to bound it).
     pub fn new(keys: usize, exponent: f64, seed: u64) -> Self {
         let distribution = ZipfDistribution::new(keys, exponent);
-        let table = AliasTable::new(distribution.probabilities());
+        let alias = AliasTable::new(distribution.probabilities());
         Self {
-            distribution,
-            table,
+            tables: Arc::new(ZipfTables {
+                distribution,
+                alias,
+            }),
             rng: StdRng::seed_from_u64(seed),
             scramble_seed: seed ^ SCRAMBLE_SALT,
             produced: 0,
@@ -228,14 +243,14 @@ impl ZipfGenerator {
     /// The underlying exact distribution.
     #[inline]
     pub fn distribution(&self) -> &ZipfDistribution {
-        &self.distribution
+        &self.tables.distribution
     }
 
     /// Draws the next key identifier (does not respect the limit; use the
     /// [`KeyStream`] interface for bounded iteration).
     #[inline]
     pub fn next_key(&mut self) -> KeyId {
-        let rank = self.table.sample(&mut self.rng) as u64 + 1;
+        let rank = self.tables.alias.sample(&mut self.rng) as u64 + 1;
         self.key_of(rank)
     }
 
@@ -249,7 +264,7 @@ impl ZipfGenerator {
     /// space. Only intended for analysis/reporting on small key spaces; the
     /// simulator keeps its own rank map for large ones.
     pub fn rank_of(&self, key: KeyId) -> Option<u64> {
-        (1..=self.distribution.keys() as u64).find(|&r| self.key_of(r) == key)
+        (1..=self.distribution().keys() as u64).find(|&r| self.key_of(r) == key)
     }
 }
 
@@ -267,7 +282,7 @@ impl KeyStream for ZipfGenerator {
     }
 
     fn key_space(&self) -> u64 {
-        self.distribution.keys() as u64
+        self.distribution().keys() as u64
     }
 }
 
@@ -465,9 +480,36 @@ mod tests {
             KeyStream::next_key(&mut original).expect("stream not exhausted");
         }
         let mut replay = original.clone();
+        assert!(
+            Arc::ptr_eq(&original.tables, &replay.tables),
+            "a clone is a cursor over the shared tables, not a copy of them"
+        );
         while let Some(k) = KeyStream::next_key(&mut original) {
             assert_eq!(Some(k), KeyStream::next_key(&mut replay));
         }
         assert_eq!(KeyStream::next_key(&mut replay), None);
+    }
+
+    #[test]
+    fn mid_stream_clone_of_a_drifting_phase_stream_shares_tables_and_replays() {
+        // The engine's scenario sources snapshot a `phase_stream` the same
+        // way; the clone must share the Zipf tables and re-emit the suffix
+        // across drift-epoch boundaries.
+        let scenario = crate::Scenario::stress(2, 128, 4, 7);
+        let phase = 1;
+        let total = scenario.phase_tuples_per_source(phase);
+        let mut original = scenario.phase_stream(phase, 1);
+        for _ in 0..total / 3 {
+            KeyStream::next_key(&mut original).expect("stream not exhausted");
+        }
+        let mut replay = original.clone();
+        assert!(Arc::ptr_eq(&original.inner.tables, &replay.inner.tables));
+        let mut remaining = 0u64;
+        while let Some(k) = KeyStream::next_key(&mut original) {
+            assert_eq!(Some(k), KeyStream::next_key(&mut replay));
+            remaining += 1;
+        }
+        assert_eq!(KeyStream::next_key(&mut replay), None);
+        assert_eq!(remaining, total - total / 3);
     }
 }
