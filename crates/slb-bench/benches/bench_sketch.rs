@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the heavy-hitter substrate: SpaceSaving
-//! update cost on a skewed stream, and the cost of merging per-source
+//! update cost on skewed streams, and the cost of merging per-source
 //! summaries.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -33,6 +33,24 @@ fn sketch_updates(c: &mut Criterion) {
             },
         );
     }
+    // The `hot-dchoices` shape: Zipf 2.0 over 10k keys at the 10·n = 80
+    // counters of 8 workers. Almost every update increments a key that is
+    // alone in its bucket, the in-place case the Zipf 1.2 cases above
+    // rarely take.
+    group.bench_with_input(
+        BenchmarkId::new("space_saving_hot", 80),
+        &80usize,
+        |b, &capacity| {
+            b.iter(|| {
+                let mut ss = SpaceSaving::new(capacity);
+                let mut stream = ZipfGenerator::with_limit(10_000, 2.0, 3, messages);
+                while let Some(k) = KeyStream::next_key(&mut stream) {
+                    ss.observe(black_box(&k));
+                }
+                black_box(ss.len())
+            })
+        },
+    );
     group.finish();
 }
 

@@ -44,15 +44,27 @@ impl<K> HeadSnapshot<K> {
     }
 }
 
+/// The least estimate a key needs to be in the head after `total`
+/// observations: `max(1, ⌈θ · total⌉)`, evaluated in f64. This is the one
+/// definition of the head cut; [`HeadTracker`] caches its value.
+#[inline]
+fn head_cut(theta: f64, total: u64) -> u64 {
+    ((theta * total as f64).ceil() as u64).max(1)
+}
+
 /// Tracks the head of a key distribution online.
 #[derive(Debug, Clone)]
 pub struct HeadTracker<K: Eq + Hash + Clone> {
     sketch: SpaceSaving<K>,
     theta: f64,
-    /// Number of observations when the head membership last changed.
-    last_change_at: u64,
-    /// Cached sorted head keys, refreshed on every observation cheaply by
-    /// checking membership of the observed key only.
+    /// `⌈2/θ⌉`: observations needed before any key can be in the head.
+    warmup: u64,
+    /// `head_cut(θ, total)` for the sketch's current total. It holds for
+    /// every total below `cut_until`, so it is recomputed only once per
+    /// change of the cut rather than per observation.
+    cut: u64,
+    cut_until: u64,
+    /// Monotone counter of head-membership changes of observed keys.
     generation: u64,
 }
 
@@ -67,12 +79,16 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
             theta > 0.0 && theta <= 1.0,
             "theta must be in (0, 1], got {theta}"
         );
-        Self {
+        let mut tracker = Self {
             sketch: SpaceSaving::new(capacity),
             theta,
-            last_change_at: 0,
+            warmup: (2.0 / theta).ceil() as u64,
+            cut: 0,
+            cut_until: 0,
             generation: 0,
-        }
+        };
+        tracker.recut(0);
+        tracker
     }
 
     /// The frequency threshold θ.
@@ -92,29 +108,47 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
     ///
     /// Uses a single SpaceSaving probe: the sketch reports the key's
     /// estimate before and after the update, and the before/after head
-    /// membership is recomputed from those counts rather than by bracketing
+    /// membership is decided from those counts rather than by bracketing
     /// the update with two extra `is_head` lookups.
     pub fn observe(&mut self, key: &K) -> bool {
-        let total_before = self.sketch.total();
+        let was_warm = self.sketch.total() >= self.warmup;
+        let cut_before = self.cut;
         let (est_before, est_after) = self.sketch.observe_counts(key);
-        let was_head = self.crosses_threshold(est_before, total_before);
-        let now_head = self.crosses_threshold(est_after, total_before + 1);
+        let total = self.sketch.total();
+        if total >= self.cut_until {
+            self.recut(total);
+        }
+        let was_head = was_warm && est_before >= cut_before;
+        let now_head = self.in_head(est_after);
         if was_head != now_head {
-            self.last_change_at = self.sketch.total();
             self.generation += 1;
         }
         now_head
     }
 
-    /// The head-membership predicate over an (estimate, total) pair; shared
-    /// by [`Self::is_head`] and the single-probe [`Self::observe`].
-    #[inline]
-    fn crosses_threshold(&self, estimate: u64, total: u64) -> bool {
-        if total < self.warmup_messages() {
-            return false;
+    /// Sets the cached cut for `total` and the first total past it at which
+    /// the cut grows. `head_cut` is monotone in the total, so the boundary
+    /// is found by stepping from the estimate `cut / θ` with the formula
+    /// itself; the estimate is off by at most a few steps.
+    #[cold]
+    fn recut(&mut self, total: u64) {
+        let cut = head_cut(self.theta, total);
+        let mut until = ((cut as f64 / self.theta) as u64).max(total + 1);
+        while until > total + 1 && head_cut(self.theta, until - 1) > cut {
+            until -= 1;
         }
-        let cut = (self.theta * total as f64).ceil() as u64;
-        estimate >= cut.max(1)
+        while until < u64::MAX && head_cut(self.theta, until) <= cut {
+            until += 1;
+        }
+        self.cut = cut;
+        self.cut_until = until;
+    }
+
+    /// The head-membership predicate for an estimate at the current total;
+    /// shared by [`Self::is_head`] and [`Self::observe`].
+    #[inline]
+    fn in_head(&self, estimate: u64) -> bool {
+        self.sketch.total() >= self.warmup && estimate >= self.cut
     }
 
     /// True if `key` is currently estimated to be in the head.
@@ -124,14 +158,7 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
     /// can qualify: on a shorter stream a single occurrence already clears
     /// the threshold, which would cause pointless replication at start-up.
     pub fn is_head(&self, key: &K) -> bool {
-        self.crosses_threshold(self.sketch.estimate(key), self.sketch.total())
-    }
-
-    /// Number of messages that must be observed before any key can be
-    /// classified as head.
-    #[inline]
-    fn warmup_messages(&self) -> u64 {
-        (2.0 / self.theta).ceil() as u64
+        self.in_head(self.sketch.estimate(key))
     }
 
     /// Monotone counter incremented every time head membership changes;
@@ -141,23 +168,22 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
         self.generation
     }
 
-    /// The current head as a sorted snapshot.
+    /// The current head as a sorted snapshot: every monitored key that
+    /// [`Self::is_head`] accepts, in decreasing estimate order.
     pub fn snapshot(&self) -> HeadSnapshot<K> {
         let total = self.sketch.total();
-        if total < self.warmup_messages() {
-            return HeadSnapshot {
-                keys: Vec::new(),
-                frequencies: Vec::new(),
-            };
+        let mut head: Vec<(K, u64)> = self
+            .sketch
+            .counters()
+            .filter(|c| self.in_head(c.count))
+            .map(|c| (c.key, c.count))
+            .collect();
+        head.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
+        let frequencies = head.iter().map(|&(_, c)| c as f64 / total as f64).collect();
+        HeadSnapshot {
+            keys: head.into_iter().map(|(k, _)| k).collect(),
+            frequencies,
         }
-        let hh = self.sketch.heavy_hitters(self.theta);
-        let mut keys = Vec::with_capacity(hh.len());
-        let mut frequencies = Vec::with_capacity(hh.len());
-        for (k, c) in hh {
-            keys.push(k);
-            frequencies.push(c as f64 / total as f64);
-        }
-        HeadSnapshot { keys, frequencies }
     }
 
     /// Estimated relative frequency of `key`.
@@ -175,6 +201,7 @@ impl<K: Eq + Hash + Clone> HeadTracker<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::HeadThreshold;
 
     #[test]
     fn nothing_is_head_on_an_empty_or_tiny_stream() {
@@ -319,5 +346,60 @@ mod tests {
             }
         }
         assert!(bumps >= 2, "stream must actually exercise transitions");
+    }
+
+    #[test]
+    fn cached_cut_equals_the_f64_formula_at_every_total() {
+        // Every θ of the paper's Figure 7 sweep and its default 1/(5n), at
+        // n = 1..=100 workers (θ > 1 is not a valid threshold).
+        let mut thetas: Vec<f64> = Vec::new();
+        for n in 1..=100 {
+            thetas.extend(
+                HeadThreshold::figure7_sweep()
+                    .iter()
+                    .map(|t| t.frequency(n))
+                    .filter(|&theta| theta <= 1.0),
+            );
+            thetas.push(HeadThreshold::DEFAULT.frequency(n));
+        }
+        for theta in thetas {
+            let mut tracker: HeadTracker<u64> = HeadTracker::new(1, theta);
+            for total in 0..200_000u64 {
+                let want = ((theta * total as f64).ceil() as u64).max(1);
+                assert_eq!(tracker.cut, want, "θ={theta} total={total}");
+                tracker.observe(&0);
+            }
+        }
+    }
+
+    #[test]
+    fn observe_and_is_head_agree_across_the_warmup_boundary() {
+        // θ = 0.3: warm-up ends at ⌈2/0.3⌉ = 7 messages. Key 0 takes every
+        // other message, keys 1..=3 share the rest.
+        let theta = 0.3;
+        let mut tracker: HeadTracker<u64> = HeadTracker::new(3, theta);
+        assert_eq!(tracker.warmup, 7);
+        let mut saw_head = false;
+        for i in 0..200u64 {
+            let key = if i % 2 == 0 { 0 } else { 1 + (i / 2) % 3 };
+            let generation_before = tracker.generation();
+            let was = tracker.is_head(&key);
+            let now = tracker.observe(&key);
+            assert_eq!(now, tracker.is_head(&key), "message {i}");
+            assert_eq!(tracker.generation() != generation_before, was != now);
+            let total = tracker.total();
+            let snapshot = tracker.snapshot();
+            for k in 0..4u64 {
+                let expected =
+                    total >= 7 && tracker.sketch().estimate(&k) >= head_cut(theta, total);
+                assert_eq!(tracker.is_head(&k), expected, "key {k} at total {total}");
+                assert_eq!(snapshot.keys.contains(&k), expected);
+            }
+            if total < 7 {
+                assert!(!now, "no head during warm-up");
+            }
+            saw_head |= now;
+        }
+        assert!(saw_head, "the hot key must enter the head after warm-up");
     }
 }

@@ -63,7 +63,8 @@ struct Bucket {
 ///
 /// See the module documentation for the guarantees. The summary is
 /// deterministic: the same input stream always produces the same monitored
-/// set and estimates (ties on eviction are broken by bucket list order).
+/// set and estimates. Among counters tied at the minimum count, the one that
+/// most recently arrived at that count is evicted first.
 #[derive(Debug, Clone)]
 pub struct SpaceSaving<K: Eq + Hash + Clone> {
     capacity: usize,
@@ -330,57 +331,25 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     }
 
     /// Increments the counter stored at `node` by one, moving it to the
-    /// appropriate bucket.
+    /// bucket for its new count.
     fn increment_node(&mut self, node: usize) {
-        let old_bucket = self.nodes[node].bucket;
-        let new_count = self.nodes[node].count + 1;
-        // Does the next-higher bucket already have the new count? We must
-        // look *before* detaching, because detaching may free the old bucket.
-        let next_bucket = self.buckets[old_bucket].next;
-        let old_prev = self.buckets[old_bucket].prev;
-        let old_count = self.buckets[old_bucket].count;
-        debug_assert_eq!(old_count + 1, new_count);
-
-        self.detach_node(node);
-        self.nodes[node].count = new_count;
-
-        // After detaching, the old bucket may have been freed. Work out the
-        // anchor bucket that precedes the position for `new_count`.
-        let anchor = if self.buckets_contains(old_bucket) {
-            old_bucket
+        let bucket = self.nodes[node].bucket;
+        let count = self.buckets[bucket].count + 1;
+        self.nodes[node].count = count;
+        let next = self.buckets[bucket].next;
+        if next != NIL && self.buckets[next].count == count {
+            // Move up into the existing `count` bucket.
+            self.detach_node(node);
+            self.attach_node(node, next);
+        } else if self.buckets[bucket].head == node && self.nodes[node].next == NIL {
+            // Alone in its bucket: the bucket itself takes the new count.
+            self.buckets[bucket].count = count;
         } else {
-            old_prev
-        };
-        let target = if next_bucket != NIL
-            && self.buckets_contains(next_bucket)
-            && self.buckets[next_bucket].count == new_count
-        {
-            next_bucket
-        } else {
-            self.bucket_with_count_after(new_count, anchor)
-        };
-        self.attach_node(node, target);
-    }
-
-    /// True if `bucket` is currently live (not on the free list). O(1):
-    /// [`Self::detach_node`] frees a bucket exactly when its child list
-    /// empties, and a bucket leaves the free list only to receive a node,
-    /// so a bucket is live iff it has a head.
-    fn buckets_contains(&self, bucket: usize) -> bool {
-        bucket != NIL && self.buckets[bucket].head != NIL
-    }
-
-    /// Evicts one node from the minimum bucket and returns (node index,
-    /// evicted count). The node is detached and its key removed from the
-    /// index, but the slab entry is reused by the caller.
-    fn evict_min(&mut self) -> (usize, u64) {
-        debug_assert!(self.min_bucket != NIL, "evict_min on empty summary");
-        let node = self.buckets[self.min_bucket].head;
-        let count = self.buckets[self.min_bucket].count;
-        let key = self.nodes[node].key.clone();
-        self.detach_node(node);
-        self.index.remove(&key);
-        (node, count)
+            // The old bucket keeps its other nodes: link a new one after it.
+            self.detach_node(node);
+            let target = self.bucket_with_count_after(count, bucket);
+            self.attach_node(node, target);
+        }
     }
 
     /// Observes one occurrence of `key` and returns the key's estimated
@@ -406,14 +375,14 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
             self.index.insert(key.clone(), node);
             return (0, 1);
         }
-        // Summary full: replace the minimum counter.
-        let (node, min_count) = self.evict_min();
-        self.nodes[node].key = key.clone();
-        self.nodes[node].count = min_count;
+        // Summary full: the newest arrival at the minimum count (the head
+        // of the minimum bucket) takes the new key, inheriting its count as
+        // error, and is incremented from there.
+        let node = self.buckets[self.min_bucket].head;
+        let min_count = self.nodes[node].count;
+        let evicted = std::mem::replace(&mut self.nodes[node].key, key.clone());
+        self.index.remove(&evicted);
         self.nodes[node].error = min_count;
-        let bucket = self.bucket_with_count_after(min_count, NIL);
-        debug_assert_eq!(self.buckets[bucket].count, min_count);
-        self.attach_node(node, bucket);
         self.index.insert(key.clone(), node);
         self.increment_node(node);
         (0, min_count + 1)

@@ -4,6 +4,8 @@
 //! rather than hand-picked ones:
 //! * SpaceSaving: estimates are upper bounds, errors bounded by m/k, and
 //!   every φ-heavy key is monitored for k ≥ 1/φ.
+//! * SpaceSaving eviction order: step for step equal to a naive reference
+//!   model, ties included.
 //! * Merge: merged estimates dominate the true counts of the combined stream.
 
 use proptest::prelude::*;
@@ -33,6 +35,61 @@ fn exact(stream: &[u64]) -> HashMap<u64, u64> {
         *m.entry(k).or_insert(0u64) += 1;
     }
     m
+}
+
+/// A naive SpaceSaving: a flat list scanned on every update. It evicts the
+/// minimum count and, among equal minimum counts, the key that most recently
+/// arrived at that count.
+struct ReferenceSpaceSaving {
+    capacity: usize,
+    clock: u64,
+    /// (key, count, error, clock value when the key reached `count`).
+    entries: Vec<(u64, u64, u64, u64)>,
+}
+
+impl ReferenceSpaceSaving {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            clock: 0,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Returns the key's (before, after) estimates and the evicted key.
+    fn observe(&mut self, key: u64) -> ((u64, u64), Option<u64>) {
+        self.clock += 1;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == key) {
+            e.1 += 1;
+            e.3 = self.clock;
+            return ((e.1 - 1, e.1), None);
+        }
+        if self.entries.len() < self.capacity {
+            self.entries.push((key, 1, 0, self.clock));
+            return ((0, 1), None);
+        }
+        let victim = self
+            .entries
+            .iter_mut()
+            .min_by_key(|e| (e.1, std::cmp::Reverse(e.3)))
+            .expect("a full summary has entries");
+        let evicted = victim.0;
+        let min = victim.1;
+        *victim = (key, min + 1, min, self.clock);
+        ((0, min + 1), Some(evicted))
+    }
+
+    fn counters(&self) -> Vec<(u64, u64, u64)> {
+        let mut v: Vec<_> = self.entries.iter().map(|e| (e.0, e.1, e.2)).collect();
+        v.sort_unstable();
+        v
+    }
+}
+
+fn sorted_counters(ss: &SpaceSaving<u64>) -> Vec<(u64, u64, u64)> {
+    let mut v: Vec<_> = ss.counters().map(|c| (c.key, c.count, c.error)).collect();
+    v.sort_unstable();
+    v
 }
 
 proptest! {
@@ -175,6 +232,39 @@ proptest! {
                 prop_assert_eq!(merged.estimate(k), t, "exact-regime estimate diverged");
                 prop_assert_eq!(merged.guaranteed_count(k), t);
             }
+        }
+    }
+
+    /// `SpaceSaving` makes exactly the reference model's decisions: the same
+    /// estimates, the same monitored (key, count, error) set and the same
+    /// evicted key after every update. Few keys over a tiny capacity make
+    /// ties at the minimum count the common case.
+    #[test]
+    fn space_saving_evicts_like_the_reference_model(
+        stream in proptest::collection::vec(0u64..16, 1..400),
+        keys in 1u64..17,
+        capacity in 1usize..9,
+    ) {
+        let mut ss = SpaceSaving::new(capacity);
+        let mut model = ReferenceSpaceSaving::new(capacity);
+        for (step, &raw) in stream.iter().enumerate() {
+            let key = raw % keys;
+            let before = sorted_counters(&ss);
+            let counts = ss.observe_counts(&key);
+            let (want_counts, want_evicted) = model.observe(key);
+            let after = sorted_counters(&ss);
+            let evicted = before
+                .iter()
+                .map(|c| c.0)
+                .find(|k| after.iter().all(|c| c.0 != *k));
+            prop_assert_eq!(counts, want_counts, "step {} key {}", step, key);
+            prop_assert_eq!(evicted, want_evicted, "step {} key {}", step, key);
+            prop_assert_eq!(&after, &model.counters(), "step {} key {}", step, key);
+            prop_assert_eq!(ss.min_count(), if model.entries.len() < capacity {
+                0
+            } else {
+                model.entries.iter().map(|e| e.1).min().unwrap_or(0)
+            });
         }
     }
 }
